@@ -180,11 +180,14 @@ func MovingAverageInto(dst, x []complex128, w int) []complex128 {
 		if i >= w {
 			acc -= x[i-w]
 		}
-		n := w
+		n := float64(w)
 		if i+1 < w {
-			n = i + 1
+			n = float64(i + 1)
 		}
-		dst[i] = acc / complex(float64(n), 0)
+		// Two real divisions: for finite samples (the running sum is never
+		// −0) they equal acc / complex(n, 0) bit for bit without the
+		// runtime's general complex division.
+		dst[i] = complex(real(acc)/n, imag(acc)/n)
 	}
 	return dst
 }

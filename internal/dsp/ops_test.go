@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +155,64 @@ func TestMovingAverageConstantSignal(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// movingAverageComplexDiv is MovingAverageInto's earlier formula, which
+// divided the running sum by complex(n, 0) — the reference for the
+// two-real-division form.
+func movingAverageComplexDiv(x []complex128, w int) []complex128 {
+	out := make([]complex128, len(x))
+	if w <= 1 {
+		copy(out, x)
+		return out
+	}
+	var acc complex128
+	for i := range x {
+		acc += x[i]
+		if i >= w {
+			acc -= x[i-w]
+		}
+		n := w
+		if i+1 < w {
+			n = i + 1
+		}
+		out[i] = acc / complex(float64(n), 0)
+	}
+	return out
+}
+
+// TestMovingAverageRealDivisionBitIdentical: dividing each component of
+// the running sum by n must reproduce the complex division by
+// complex(n, 0) bit for bit, for every window 1–16 and every short-prefix
+// divisor 1…w−1, over random finite inputs spanning many magnitudes.
+func TestMovingAverageRealDivisionBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	draw := func() float64 {
+		switch r.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return float64(r.Intn(7) - 3) // small integers: exact sums
+		default:
+			return r.NormFloat64() * math.Ldexp(1, r.Intn(80)-40)
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		x := make([]complex128, 1+r.Intn(64))
+		for i := range x {
+			x[i] = complex(draw(), draw())
+		}
+		for w := 1; w <= 16; w++ {
+			want := movingAverageComplexDiv(x, w)
+			got := MovingAverageInto(make([]complex128, len(x)), x, w)
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("trial %d w=%d i=%d: %v, complex division gives %v", trial, w, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -139,60 +139,120 @@ func (w Waveform) DetectBurst(samples []complex128, leakage float64) (payloadSta
 	return w.DetectBurstWS(nil, samples, leakage)
 }
 
+// Acquisition constants (see DetectBurstWS).
+const (
+	// lockFraction of the ideal preamble correlation at the capture's
+	// amplitude span locks the forward search.
+	lockFraction = 0.4
+	// nearMax: a lag within this fraction of the largest correlation
+	// searched ties with it, and the earliest tie wins.
+	nearMax = 0.95
+	// refineSymbols from the first crossing are searched for the peak.
+	refineSymbols = 2
+	// windowSymbols of lags are searched forward before the
+	// whole-capture fallback.
+	windowSymbols = 32
+)
+
 // DetectBurstWS is DetectBurst with the envelope, template and
 // correlation buffers checked out of ws (nil ws allocates).
+//
+// The search runs forward from lag 0, so its cost is set by where the
+// preamble sits rather than by the capture's length:
+//
+//  1. One pass over the capture finds the smallest and largest sample
+//     power. An ideal burst spanning that amplitude range correlates
+//     with the zero-mean template to Σ(positive taps)·(√pmax − √pmin);
+//     40% of that is the lock threshold.
+//  2. The moving-average envelope and its template correlation are
+//     computed over the first 32 symbols of lags only (both are causal,
+//     so these values equal the whole capture's, bit for bit), and the
+//     search stops at the first lag that reaches the threshold.
+//  3. The lock is the largest correlation within two symbols of that
+//     first crossing (its first lag on a tie), and metric is its value.
+//  4. Every lag is searched, and the earliest lag within 5% of the
+//     global maximum wins with that maximum as metric, when no lag in the
+//     window reaches the threshold (no amplitude span, a late preamble,
+//     or one cut off by the capture's end), when step 3's two symbols
+//     run past the window, or when an earlier lag comes within 5% of the
+//     lock's peak, since this whole-capture rule's pick then depends on
+//     the global maximum. Otherwise, wherever the whole-capture rule
+//     picks a lag inside step 3's window, step 3 picks the same lag.
+//
+// A payload that contains a run matching the preamble comes after the
+// preamble, so the forward search locks on the preamble even where the
+// run correlates higher.
 func (w Waveform) DetectBurstWS(ws *dsp.Workspace, samples []complex128, leakage float64) (payloadStart int, metric float64, err error) {
+	if w.SPS < 1 {
+		return 0, 0, fmt.Errorf("phy: sps must be ≥ 1, got %d", w.SPS)
+	}
 	n := len(Preamble13)
 	need := (n + 1) * w.SPS
 	if len(samples) < need {
 		return 0, 0, fmt.Errorf("phy: burst shorter (%d) than preamble (%d samples)", len(samples), need)
 	}
-	avg := dsp.MovingAverageInto(ws.Complex(len(samples)), samples, w.SPS)
-	env := dsp.MagnitudesInto(ws.Float(len(samples)), avg)
 	// Zero-mean chip template: +1 → high, −1 → low; remove DC so the
-	// correlation ignores the absolute signal level.
-	tmpl := ws.Float(n)
+	// correlation ignores the absolute signal level. The moving-average
+	// envelope peaks at the *end* of each symbol period, so the template
+	// is upsampled to sample rate (one nonzero chip every SPS) and every
+	// sample offset is a candidate lag.
 	var mean float64
-	for i, c := range Preamble13 {
-		v := leakage
-		if c > 0 {
-			v = 1
-		}
-		tmpl[i] = v
-		mean += v
+	for _, c := range Preamble13 {
+		mean += chipLevel(c, leakage)
 	}
 	mean /= float64(n)
-	for i := range tmpl {
-		tmpl[i] -= mean
-	}
-	// The moving-average envelope peaks at the *end* of each symbol
-	// period; search all sample offsets by correlating the envelope with
-	// the template upsampled to sample rate (one nonzero chip every SPS).
-	// XCorrRealWS skips the exact-zero template taps on its direct path,
-	// so the sums match the old strided loop bit for bit; long/dense
-	// searches take its FFT path automatically.
-	maxOfs := len(samples) - n*w.SPS
-	tdense := ws.Float((n-1)*w.SPS + 1)
-	for k := 0; k < n; k++ {
-		tdense[k*w.SPS] = tmpl[k]
-	}
-	corr := dsp.XCorrRealWS(ws, env, tdense)[:maxOfs+1]
-	bestV := math.Inf(-1)
-	for _, v := range corr {
-		if v > bestV {
-			bestV = v
+	tmpl := ws.Float((n-1)*w.SPS + 1)
+	var posSum float64
+	for k, c := range Preamble13 {
+		v := chipLevel(c, leakage) - mean
+		tmpl[k*w.SPS] = v
+		if v > 0 {
+			posSum += v
 		}
 	}
-	// A random payload can contain a 13-symbol run that matches the
-	// Barker pattern exactly, tying the true preamble's correlation. The
-	// preamble always comes *first*, so take the earliest offset within
-	// 5% of the global maximum rather than the argmax.
-	bestOfs := 0
-	for ofs, v := range corr {
-		if v >= 0.95*bestV {
-			bestOfs = ofs
-			break
+	pmin, pmax := math.Inf(1), 0.0
+	for _, v := range samples {
+		p := real(v)*real(v) + imag(v)*imag(v)
+		if p < pmin {
+			pmin = p
 		}
+		if p > pmax {
+			pmax = p
+		}
+	}
+	thr := lockFraction * posSum * (math.Sqrt(pmax) - math.Sqrt(pmin))
+
+	lags := len(samples) - n*w.SPS + 1
+	var corr []float64
+	bestOfs, peakOfs := 0, -1
+	// !(thr > 0) also routes NaN (non-finite samples) to the full search.
+	if thr > 0 {
+		win := min(lags, windowSymbols*w.SPS)
+		corr = w.envelopeCorr(ws, samples, tmpl, win)
+		lock := -1
+		for k, v := range corr {
+			if v >= thr {
+				lock = k
+				break
+			}
+		}
+		hi := min(lags, lock+refineSymbols*w.SPS+1)
+		if lock >= 0 && hi <= win {
+			peakOfs, metric = peak(corr[lock:hi])
+			peakOfs += lock
+			bestOfs = earliestNear(corr[:hi], metric)
+		}
+	}
+	if bestOfs != peakOfs {
+		// No lock in the window, a refinement that runs past it, or an
+		// earlier lag within nearMax of the lock's peak: which lag the
+		// whole-capture rule picks then depends on lags outside the
+		// window, so search every lag.
+		if len(corr) < lags {
+			corr = w.envelopeCorr(ws, samples, tmpl, lags)
+		}
+		_, metric = peak(corr)
+		bestOfs = earliestNear(corr, metric)
 	}
 	// The causal moving average fully covers a symbol at the symbol's
 	// *last* support sample, which for a center-aligned rect pulse sits
@@ -204,7 +264,50 @@ func (w Waveform) DetectBurstWS(ws *dsp.Workspace, samples []complex128, leakage
 	if center0 < 0 {
 		center0 = 0
 	}
-	return center0 + n*w.SPS, bestV, nil
+	return center0 + n*w.SPS, metric, nil
+}
+
+// chipLevel is the envelope level of one Barker chip: +1 chips reflect
+// (1), −1 chips absorb (leakage).
+func chipLevel(c int, leakage float64) float64 {
+	if c > 0 {
+		return 1
+	}
+	return leakage
+}
+
+// envelopeCorr correlates the moving-average envelope of samples with
+// tmpl at lags 0…lags−1, reading only the samples those lags reach.
+func (w Waveform) envelopeCorr(ws *dsp.Workspace, samples []complex128, tmpl []float64, lags int) []float64 {
+	m := lags - 1 + len(tmpl)
+	avg := dsp.MovingAverageInto(ws.Complex(m), samples[:m], w.SPS)
+	env := dsp.MagnitudesInto(ws.Float(m), avg)
+	return dsp.XCorrRealWS(ws, env, tmpl)
+}
+
+// peak returns the first index of corr's largest value and that value
+// (−1 and −Inf if corr is empty).
+func peak(corr []float64) (int, float64) {
+	at, best := -1, math.Inf(-1)
+	for k, v := range corr {
+		if v > best {
+			at, best = k, v
+		}
+	}
+	return at, best
+}
+
+// earliestNear returns the first index whose value is within nearMax of
+// best (0 if none). A random payload can contain a 13-symbol run that
+// matches the Barker pattern exactly, tying the true preamble's
+// correlation; the preamble always comes first.
+func earliestNear(corr []float64, best float64) int {
+	for k, v := range corr {
+		if v >= nearMax*best {
+			return k
+		}
+	}
+	return 0
 }
 
 // MeasureSNR estimates the SNR of OOK decision statistics by two-cluster

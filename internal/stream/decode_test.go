@@ -143,10 +143,8 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 	}
 	all, _ := captureBursts(t, 8, frameBytes, 2, 7)
 	dec := NewDecoder(shape)
-	// Keep only cleanly decoded bursts: even at 2 ft an occasional capture
-	// mis-syncs on a payload-induced false correlation peak, and a failed
-	// decode takes an early exit that would hide allocations in the later
-	// stages.
+	// Keep only cleanly decoded bursts: a failed decode takes an early
+	// exit that would hide allocations in the later stages.
 	var bursts [][]complex128
 	for i, rx := range all {
 		if f := dec.Decode(i, rx); f.Err == nil && f.OK {

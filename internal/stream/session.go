@@ -91,98 +91,13 @@ func RunSession(cfg SessionConfig) (SessionResult, error) {
 	if cfg.Frames <= 0 {
 		return res, fmt.Errorf("stream: need ≥ 1 frame, got %d", cfg.Frames)
 	}
-	if cfg.FrameBytes == 0 {
-		cfg.FrameBytes = 64
-	}
-	if cfg.RangeFt == 0 {
-		cfg.RangeFt = 4
-	}
-	l, err := core.NewDefaultLink(units.FeetToMeters(cfg.RangeFt))
+	src, err := newSessionSource(&cfg)
 	if err != nil {
 		return res, err
 	}
-	bw := l.Reader.Bandwidths[0] // widest: the gigabit 2 GHz channel
-	b, err := l.ComputeBudget()
-	if err != nil {
-		return res, err
-	}
-	if b.Severed {
-		return res, fmt.Errorf("stream: link severed at %g ft", cfg.RangeFt)
-	}
-	w, err := phy.NewRectWaveform(core.SamplesPerSymbol)
-	if err != nil {
-		return res, err
-	}
-	shape, err := NewShape(w, cfg.FrameBytes)
-	if err != nil {
-		return res, err
-	}
-
-	// The operating point is computed once — the per-frame generator is
-	// pure synthesis (tag burst + channel scale + leakage + noise), the
-	// same recipe core.CaptureWaveformWS applies per call.
-	bearing := b.TagBearingRad
-	freqHz := l.Reader.FreqHz
-	// Tag.BurstMCSWS mutates aperture switch state while computing the
-	// modulation constellation, so it cannot be shared across gen workers.
-	// The leakage is a pure function of the fixed operating point: compute
-	// it once and synthesize bursts with stateless phy calls instead.
-	ookLeak := l.Tag.OOKLeakage(bearing, freqHz)
-	tagID := l.Tag.ID
-	amp := math.Sqrt(units.DBmToWatts(b.ReceivedDBm))
-	carrier := cmplx.Rect(amp, -0.4)
-	leak := cmplx.Rect(math.Sqrt(units.DBmToWatts(l.Reader.SelfInterferenceDBm())), 0.9)
-	symbolRate := bw.BandwidthHz * units.OOKSpectralEfficiency
-	sampleRate := symbolRate * core.SamplesPerSymbol
-	noiseW := units.DBmToWatts(units.ThermalNoiseDensityDBmHz(l.Reader.TemperatureK)+
-		l.Reader.NoiseFigureDB)*sampleRate +
-		units.DBmToWatts(l.Reader.ResidualLeakageDBm())
-	burstSyms := tag.BurstSymbolCount(cfg.FrameBytes)
-	burstS := float64(burstSyms) / symbolRate
-	lead := 16 * core.SamplesPerSymbol
-	rxLen := burstSyms*core.SamplesPerSymbol + 40*core.SamplesPerSymbol
-	res.BudgetSNRdB = b.SNRdB[bw.Label]
+	l, seq, burstS := src.link, src.seq, src.burstS
+	res.BudgetSNRdB = src.budgetSNRdB
 	res.BurstSeconds = burstS
-
-	seq := rng.NewSequence(cfg.Seed)
-	gen := func(ws *dsp.Workspace, i int, dst []complex128) ([]complex128, error) {
-		src := seq.At(uint64(i))
-		payload := src.Bytes(ws.Bytes(cfg.FrameBytes))
-		rawLen := frame.HeaderLen + cfg.FrameBytes + frame.CRCLen
-		raw, err := frame.AppendEncode(ws.Bytes(rawLen)[:0], tagID, frame.MCSOOK, payload)
-		if err != nil {
-			return nil, err
-		}
-		bits := frame.BitsFromBytes(ws.Bytes(8*rawLen), raw)
-		syms := phy.AppendPreambleSymbols(ws.Complex(burstSyms)[:0], ookLeak)
-		syms, err = (phy.OOK{Leakage: ookLeak}).Modulate(syms, bits)
-		if err != nil {
-			return nil, err
-		}
-		tx := w.SynthesizeWS(ws, syms)
-		if cap(dst) < rxLen {
-			dst = make([]complex128, rxLen)
-		}
-		dst = dst[:rxLen]
-		for k := range dst {
-			dst[k] = leak
-		}
-		for k, v := range tx {
-			dst[lead+k] += v * carrier
-		}
-		src.AWGN(dst, noiseW)
-		// Pre-burst leakage calibration (see core.CaptureWaveformWS).
-		pre := lead / 2
-		var mean complex128
-		for _, v := range dst[:pre] {
-			mean += v
-		}
-		mean /= complex(float64(pre), 0)
-		for k := range dst {
-			dst[k] -= mean
-		}
-		return dst, nil
-	}
 
 	truthBuf := make([]byte, cfg.FrameBytes)
 	var snrSum float64
@@ -238,9 +153,9 @@ func RunSession(cfg SessionConfig) (SessionResult, error) {
 		return nil
 	}
 
-	p := NewPipeline(shape, Config{Workers: cfg.Workers, Depth: cfg.Depth})
+	p := NewPipeline(src.shape, Config{Workers: cfg.Workers, Depth: cfg.Depth})
 	start := time.Now()
-	if err := p.Run(cfg.Frames, gen, fold); err != nil {
+	if err := p.Run(cfg.Frames, src.gen, fold); err != nil {
 		return res, err
 	}
 	res.WallSeconds = time.Since(start).Seconds()
@@ -267,4 +182,113 @@ func RunSession(cfg SessionConfig) (SessionResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// sessionSource is a session's operating point and frame generator.
+type sessionSource struct {
+	link        *core.Link
+	shape       Shape
+	seq         rng.Sequence // per-frame payload and noise sources
+	budgetSNRdB float64
+	burstS      float64 // one burst's air time
+	gen         Gen
+}
+
+// newSessionSource applies cfg's defaults (FrameBytes, RangeFt) and
+// builds the session's link and frame generator. Each frame is one burst
+// after a 16-symbol lead in a capture 40 symbols longer than the burst,
+// so a correct sync lands 16 + 13 symbols in: 116 samples at
+// core.SamplesPerSymbol = 4.
+func newSessionSource(cfg *SessionConfig) (*sessionSource, error) {
+	if cfg.FrameBytes == 0 {
+		cfg.FrameBytes = 64
+	}
+	if cfg.RangeFt == 0 {
+		cfg.RangeFt = 4
+	}
+	l, err := core.NewDefaultLink(units.FeetToMeters(cfg.RangeFt))
+	if err != nil {
+		return nil, err
+	}
+	bw := l.Reader.Bandwidths[0] // widest: the gigabit 2 GHz channel
+	b, err := l.ComputeBudget()
+	if err != nil {
+		return nil, err
+	}
+	if b.Severed {
+		return nil, fmt.Errorf("stream: link severed at %g ft", cfg.RangeFt)
+	}
+	w, err := phy.NewRectWaveform(core.SamplesPerSymbol)
+	if err != nil {
+		return nil, err
+	}
+	shape, err := NewShape(w, cfg.FrameBytes)
+	if err != nil {
+		return nil, err
+	}
+
+	// The operating point is computed once — the per-frame generator is
+	// pure synthesis (tag burst + channel scale + leakage + noise), the
+	// same recipe core.CaptureWaveformWS applies per call.
+	bearing := b.TagBearingRad
+	freqHz := l.Reader.FreqHz
+	// Tag.BurstMCSWS mutates aperture switch state while computing the
+	// modulation constellation, so it cannot be shared across gen workers.
+	// The leakage is a pure function of the fixed operating point: compute
+	// it once and synthesize bursts with stateless phy calls instead.
+	ookLeak := l.Tag.OOKLeakage(bearing, freqHz)
+	tagID := l.Tag.ID
+	amp := math.Sqrt(units.DBmToWatts(b.ReceivedDBm))
+	carrier := cmplx.Rect(amp, -0.4)
+	leak := cmplx.Rect(math.Sqrt(units.DBmToWatts(l.Reader.SelfInterferenceDBm())), 0.9)
+	symbolRate := bw.BandwidthHz * units.OOKSpectralEfficiency
+	sampleRate := symbolRate * core.SamplesPerSymbol
+	noiseW := units.DBmToWatts(units.ThermalNoiseDensityDBmHz(l.Reader.TemperatureK)+
+		l.Reader.NoiseFigureDB)*sampleRate +
+		units.DBmToWatts(l.Reader.ResidualLeakageDBm())
+	burstSyms := tag.BurstSymbolCount(cfg.FrameBytes)
+	burstS := float64(burstSyms) / symbolRate
+	lead := 16 * core.SamplesPerSymbol
+	rxLen := burstSyms*core.SamplesPerSymbol + 40*core.SamplesPerSymbol
+	seq := rng.NewSequence(cfg.Seed)
+	gen := func(ws *dsp.Workspace, i int, dst []complex128) ([]complex128, error) {
+		src := seq.At(uint64(i))
+		payload := src.Bytes(ws.Bytes(cfg.FrameBytes))
+		rawLen := frame.HeaderLen + cfg.FrameBytes + frame.CRCLen
+		raw, err := frame.AppendEncode(ws.Bytes(rawLen)[:0], tagID, frame.MCSOOK, payload)
+		if err != nil {
+			return nil, err
+		}
+		bits := frame.BitsFromBytes(ws.Bytes(8*rawLen), raw)
+		syms := phy.AppendPreambleSymbols(ws.Complex(burstSyms)[:0], ookLeak)
+		syms, err = (phy.OOK{Leakage: ookLeak}).Modulate(syms, bits)
+		if err != nil {
+			return nil, err
+		}
+		tx := w.SynthesizeWS(ws, syms)
+		if cap(dst) < rxLen {
+			dst = make([]complex128, rxLen)
+		}
+		dst = dst[:rxLen]
+		for k := range dst {
+			dst[k] = leak
+		}
+		for k, v := range tx {
+			dst[lead+k] += v * carrier
+		}
+		src.AWGN(dst, noiseW)
+		// Pre-burst leakage calibration (see core.CaptureWaveformWS).
+		pre := lead / 2
+		var mean complex128
+		for _, v := range dst[:pre] {
+			mean += v
+		}
+		mean /= complex(float64(pre), 0)
+		for k := range dst {
+			dst[k] -= mean
+		}
+		return dst, nil
+	}
+	return &sessionSource{link: l, shape: shape, seq: seq, budgetSNRdB: b.SNRdB[bw.Label],
+		burstS: burstS, gen: gen}, nil
 }
