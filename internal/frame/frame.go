@@ -173,12 +173,12 @@ func (t *Trailer) LayerContents() []byte { return t.contents }
 // LayerPayload implements Layer.
 func (t *Trailer) LayerPayload() []byte { return nil }
 
-// CRC16 computes the CCITT-FALSE CRC-16 (poly 0x1021, init 0xFFFF) over
-// data — the checksum RFID-class air protocols use.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
+// crcTable[b] is the CRC-16 register after shifting the byte b, placed
+// in the high byte of an otherwise zero register, through eight steps of
+// the polynomial 0x1021.
+var crcTable = func() (t [256]uint16) {
+	for b := range t {
+		crc := uint16(b) << 8
 		for i := 0; i < 8; i++ {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
@@ -186,6 +186,18 @@ func CRC16(data []byte) uint16 {
 				crc <<= 1
 			}
 		}
+		t[b] = crc
+	}
+	return t
+}()
+
+// CRC16 computes the CCITT-FALSE CRC-16 (poly 0x1021, init 0xFFFF) over
+// data — the checksum RFID-class air protocols use — a byte at a time
+// through crcTable.
+func CRC16(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
 	}
 	return crc
 }

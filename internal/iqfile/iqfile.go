@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies an IQ capture file.
@@ -28,6 +29,10 @@ const Version = 1
 
 // MaxSamples bounds a single capture (guards against corrupt headers).
 const MaxSamples = 1 << 30
+
+// readChunk is the sample capacity Read starts from before any sample
+// data has arrived.
+const readChunk = 4096
 
 // Header describes a capture.
 type Header struct {
@@ -142,15 +147,22 @@ func Read(r io.Reader) (Header, []complex128, error) {
 	if hdr.SampleRateHz <= 0 || math.IsNaN(hdr.SampleRateHz) {
 		return hdr, nil, fmt.Errorf("iqfile: invalid sample rate %v", hdr.SampleRateHz)
 	}
-	out := make([]complex128, hdr.Samples)
+	// The header's count is not trusted for the allocation: the slice
+	// starts at readChunk samples and at most doubles with the samples
+	// that actually arrive, so a truncated file claiming MaxSamples costs
+	// memory in proportion to its real length.
+	out := make([]complex128, 0, min(hdr.Samples, readChunk))
 	var sb [8]byte
-	for i := range out {
+	for uint64(len(out)) < hdr.Samples {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, int(min(hdr.Samples-uint64(len(out)), uint64(len(out)))))
+		}
 		if _, err := io.ReadFull(br, sb[:]); err != nil {
-			return hdr, nil, fmt.Errorf("iqfile: truncated at sample %d: %w", i, err)
+			return hdr, nil, fmt.Errorf("iqfile: truncated at sample %d: %w", len(out), err)
 		}
 		re := math.Float32frombits(binary.LittleEndian.Uint32(sb[0:4]))
 		im := math.Float32frombits(binary.LittleEndian.Uint32(sb[4:8]))
-		out[i] = complex(float64(re), float64(im))
+		out = append(out, complex(float64(re), float64(im)))
 	}
 	return hdr, out, nil
 }

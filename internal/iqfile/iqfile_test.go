@@ -2,8 +2,10 @@ package iqfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/cmplx"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,5 +127,37 @@ func TestEmptyCapture(t *testing.T) {
 	hdr, out, err := Read(&buf)
 	if err != nil || hdr.Samples != 0 || len(out) != 0 {
 		t.Errorf("empty capture: %+v %d %v", hdr, len(out), err)
+	}
+}
+
+func TestReadBoundsAllocationByData(t *testing.T) {
+	// A bare header claiming MaxSamples must fail on the missing data
+	// without first allocating room for 2^30 samples.
+	hdr := validCapture(t, 0)
+	binary.LittleEndian.PutUint64(hdr[24:32], MaxSamples)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header with no sample data should fail")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("Read allocated %d bytes for a 24-byte file, want < 1 MiB", got)
+	}
+
+	// Captures longer than the initial chunk still round-trip whole.
+	n := 3*readChunk + 5
+	in := make([]complex128, n)
+	for i := range in {
+		in[i] = complex(float64(i), -float64(i))
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, Header{SampleRateHz: 1e6, Samples: uint64(n)}, in); err != nil {
+		t.Fatal(err)
+	}
+	_, out, err := Read(&buf)
+	if err != nil || len(out) != n || out[n-1] != in[n-1] {
+		t.Fatalf("long capture: %d samples, err %v", len(out), err)
 	}
 }

@@ -33,7 +33,17 @@ func splitMix64(x *uint64) uint64 {
 // New returns a Source seeded from seed. Distinct seeds give statistically
 // independent streams.
 func New(seed uint64) *Source {
-	var s Source
+	s := new(Source)
+	s.seed(seed)
+	return s
+}
+
+// seed expands seed into the generator state. It is kept out of line so
+// New stays within the inlining budget: inlined, a Source that does not
+// escape its caller lives on the caller's stack.
+//
+//go:noinline
+func (s *Source) seed(seed uint64) {
 	x := seed
 	for i := range s.s {
 		s.s[i] = splitMix64(&x)
@@ -43,7 +53,6 @@ func New(seed uint64) *Source {
 	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
 		s.s[0] = 1
 	}
-	return &s
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -96,10 +105,20 @@ func NewSequence(seed uint64) Sequence {
 // order-independent: At(i) always returns a generator in the same
 // state, and distinct indices give statistically independent streams.
 func (q Sequence) At(i uint64) *Source {
-	// Mix the index through SplitMix64 before handing it to New (which
+	s := new(Source)
+	s.seedAt(q.base, i)
+	return s
+}
+
+// seedAt seeds sub-stream i of the family with base. Like seed, it is
+// out of line so At inlines and its Source can stay on the stack.
+//
+//go:noinline
+func (s *Source) seedAt(base, i uint64) {
+	// Mix the index through SplitMix64 before handing it to seed (which
 	// SplitMix64-expands again) so consecutive indices land far apart.
-	x := q.base + (i+1)*0x9e3779b97f4a7c15
-	return New(splitMix64(&x))
+	x := base + (i+1)*0x9e3779b97f4a7c15
+	s.seed(splitMix64(&x))
 }
 
 // Float64 returns a uniform sample in [0, 1) with 53 bits of precision.
@@ -194,12 +213,89 @@ func (s *Source) ComplexNorm() complex128 {
 
 // AWGN adds complex white Gaussian noise of the given power (variance per
 // sample) to x in place and returns it.
+//
+// The result is bit-identical to adding complex(σ,0)·ComplexNorm() to
+// each sample in turn, and the Source ends in the same state, pending
+// Norm spare included.
 func (s *Source) AWGN(x []complex128, noisePower float64) []complex128 {
-	sigma := math.Sqrt(noisePower)
-	for i := range x {
-		x[i] += complex(sigma, 0) * s.ComplexNorm()
-	}
+	awgn(s, x, math.Sqrt(noisePower))
 	return x
+}
+
+// awgn is the batched Marsaglia-polar kernel behind AWGN. Per chunk of
+// up to 32 samples it runs three passes, so the unpredictable rejection
+// branch, the logarithms and the square roots each get a tight loop:
+//
+//  1. draw polar pairs (u, v, q) with the generator state held in
+//     locals, storing every attempt and advancing the slot only on
+//     acceptance, so the uniforms are consumed in the scalar order;
+//  2. t = −2·ln(q)/q;
+//  3. f = √t and x += σ·(u·f·(1/√2), v·f·(1/√2)).
+//
+// Every expression keeps the textual form it has in Norm and
+// ComplexNorm, so each rounding step matches the scalar path. A pending
+// spare shifts the pairing by one: sample k takes (v·f of pair k−1,
+// u·f of pair k), the spare standing in for pair −1, and the last v·f
+// is left pending.
+func awgn(s *Source, x []complex128, sigma float64) {
+	const invSqrt2 = 0.7071067811865476
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	spare, carry := s.spare, s.hasSpare
+	var us, vs, ts [32]float64
+	for rest := x; len(rest) > 0; {
+		m := min(len(rest), len(us))
+		for n := 0; n < m; {
+			// Two Float64 draws, as in Uint64 and Float64.
+			r := rotl(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			u := 2*(float64(r>>11)/(1<<53)) - 1
+			r = rotl(s1*5, 7) * 9
+			t = s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			v := 2*(float64(r>>11)/(1<<53)) - 1
+			q := u*u + v*v
+			us[n], vs[n], ts[n] = u, v, q
+			// Accept iff 0 < q < 1 (q is never negative), written so
+			// the compiler emits conditional moves, not branches.
+			ok := 0
+			if q < 1 {
+				ok = 1
+			}
+			if q == 0 {
+				ok = 0
+			}
+			n += ok
+		}
+		for k := 0; k < m; k++ {
+			ts[k] = -2 * math.Log(ts[k]) / ts[k]
+		}
+		if carry {
+			for k := 0; k < m; k++ {
+				f := math.Sqrt(ts[k])
+				rest[k] += complex(sigma, 0) * complex(spare*invSqrt2, us[k]*f*invSqrt2)
+				spare = vs[k] * f
+			}
+		} else {
+			for k := 0; k < m; k++ {
+				f := math.Sqrt(ts[k])
+				rest[k] += complex(sigma, 0) * complex(us[k]*f*invSqrt2, vs[k]*f*invSqrt2)
+			}
+		}
+		rest = rest[m:]
+	}
+	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
+	s.spare = spare
 }
 
 // Exp returns an exponentially distributed sample with the given mean.

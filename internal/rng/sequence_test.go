@@ -88,3 +88,16 @@ func TestSequenceStreamsLookGaussianHealthy(t *testing.T) {
 		t.Fatalf("grand mean of keyed streams %.4f, want ≈ 0", grand)
 	}
 }
+
+func TestSequenceAtDoesNotAllocate(t *testing.T) {
+	seq := NewSequence(3)
+	buf := make([]byte, 64)
+	i := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seq.At(i).Bytes(buf)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("seq.At(i).Bytes(buf) made %v allocations, want 0", allocs)
+	}
+}
