@@ -252,65 +252,129 @@ func (l *Link) CaptureWaveformWS(ws *dsp.Workspace, payload []byte, mcs frame.MC
 		span = obs.StartSpan("core.synth", obs.L("bw", bw.Label))
 	}
 	defer span.End()
-	b, err := l.ComputeBudget()
+	rc, err := l.RxChain(bw)
+	cap.Budget = rc.Budget
+	cap.BandwidthLabel = bw.Label
 	if err != nil {
 		return cap, err
-	}
-	cap.Budget = b
-	cap.BandwidthLabel = bw.Label
-	if b.Severed {
-		return cap, fmt.Errorf("core: link severed (no propagation path)")
 	}
 
 	// Tag side: frame + symbols at the operating point.
-	syms, err := l.Tag.BurstMCSWS(ws, payload, mcs, b.TagBearingRad, l.Reader.FreqHz)
+	syms, err := l.Tag.BurstMCSWS(ws, payload, mcs, rc.Budget.TagBearingRad, l.Reader.FreqHz)
 	if err != nil {
 		return cap, err
 	}
-	w, err := phy.NewRectWaveform(SamplesPerSymbol)
-	if err != nil {
-		return cap, err
-	}
-	tx := w.SynthesizeWS(ws, syms)
+	tx := rc.W.SynthesizeWS(ws, syms)
 	if t := signal.Active(); t != nil {
 		t.TxWaveform(tx)
 	}
+	rx, err := rc.Receive(ws.Complex(len(tx)+rxPadSyms*SamplesPerSymbol), tx, l.Fading, src)
+	if err != nil {
+		return cap, err
+	}
+	cap.SampleRateHz = rc.SampleRateHz
+	if t := signal.Active(); t != nil {
+		t.ChannelOut(rx)
+	}
+	cap.Samples = rx
+	return cap, nil
+}
 
+// Capture geometry: the burst starts rxLeadSyms symbols into a capture
+// rxPadSyms symbols longer than the burst.
+const (
+	rxLeadSyms = 16
+	rxPadSyms  = 40
+)
+
+// RxChain is the reader's receive chain at one operating point: every
+// constant between the tag's switch waveform and the samples the
+// demodulator sees, computed once per link geometry and receiver
+// bandwidth. CaptureWaveformWS and the streaming sessions both receive
+// through it.
+type RxChain struct {
+	// Budget is the analytic operating point the chain was built from.
+	Budget Budget
+	// W is the pulse shape at SamplesPerSymbol.
+	W phy.Waveform
+	// SampleRateHz is the complex sample rate: SamplesPerSymbol × the
+	// symbol rate, which is half the receiver bandwidth for every scheme.
+	SampleRateHz float64
+
+	carrier complex128 // a '0' symbol's received amplitude and phase
+	leak    complex128 // static TX leakage, a DC term at baseband
+	noiseW  float64    // receiver noise plus residual leakage, per sample
+}
+
+// RxChain builds the receive chain for bw at the link's current
+// geometry. A severed link returns an error with the chain's Budget
+// still filled in.
+func (l *Link) RxChain(bw units.ReaderBandwidth) (RxChain, error) {
+	var rc RxChain
+	b, err := l.ComputeBudget()
+	if err != nil {
+		return rc, err
+	}
+	rc.Budget = b
+	if b.Severed {
+		return rc, fmt.Errorf("core: link severed (no propagation path)")
+	}
+	if rc.W, err = phy.NewRectWaveform(SamplesPerSymbol); err != nil {
+		return rc, err
+	}
 	// Scale: a '0' symbol (amplitude 1) arrives at the reader with power
 	// b.ReceivedDBm. Work in √W amplitudes.
 	amp := math.Sqrt(units.DBmToWatts(b.ReceivedDBm))
-	carrier := cmplx.Rect(amp, -0.4) // deterministic unknown carrier phase
-	rxLen := len(tx) + 40*SamplesPerSymbol
-	rx := ws.Complex(rxLen)
-	lead := 16 * SamplesPerSymbol
-	for i, v := range tx {
-		rx[lead+i] = v * carrier
-	}
-	if l.Fading != nil {
-		series, err := l.Fading.Series(len(tx), bw.BandwidthHz*units.OOKSpectralEfficiency*SamplesPerSymbol, src)
-		if err != nil {
-			return cap, err
-		}
-		channel.Apply(rx[lead:lead+len(tx)], series)
-	}
-	// TX leakage: a DC term at baseband.
-	leak := cmplx.Rect(math.Sqrt(units.DBmToWatts(l.Reader.SelfInterferenceDBm())), 0.9)
-	for i := range rx {
-		rx[i] += leak
-	}
+	rc.carrier = cmplx.Rect(amp, -0.4) // deterministic unknown carrier phase
+	rc.leak = cmplx.Rect(math.Sqrt(units.DBmToWatts(l.Reader.SelfInterferenceDBm())), 0.9)
 	// Receiver noise over the sampled band: the sample rate is
-	// SamplesPerSymbol × symbol rate = (SamplesPerSymbol/2) × bw. The
-	// symbol rate is half the receiver bandwidth for every scheme.
+	// SamplesPerSymbol × symbol rate = (SamplesPerSymbol/2) × bw.
 	symbolRate := bw.BandwidthHz * units.OOKSpectralEfficiency
-	sampleRate := symbolRate * SamplesPerSymbol
-	cap.SampleRateHz = sampleRate
+	rc.SampleRateHz = symbolRate * SamplesPerSymbol
 	noiseW := units.DBmToWatts(units.ThermalNoiseDensityDBmHz(l.Reader.TemperatureK)+
-		l.Reader.NoiseFigureDB) * sampleRate
-	// Residual self-interference: the calibration below removes the
+		l.Reader.NoiseFigureDB) * rc.SampleRateHz
+	// Residual self-interference: the calibration in Receive removes the
 	// static leakage, but oscillator phase noise decorrelates part of it
 	// into in-band noise bounded by LeakageCancellationDB.
-	residualW := units.DBmToWatts(l.Reader.ResidualLeakageDBm())
-	src.AWGN(rx, noiseW+residualW)
+	rc.noiseW = noiseW + units.DBmToWatts(l.Reader.ResidualLeakageDBm())
+	return rc, nil
+}
+
+// Receive turns the tag's switch waveform tx into the calibrated
+// capture the reader's DSP sees: tx scaled by the received carrier
+// after a 16-symbol lead in a capture 40 symbols longer than tx, times
+// fading (when non-nil, drawn from src), plus TX leakage and receiver
+// noise from src, with the leakage then calibrated out. The capture is
+// written into dst, grown if it is too short, and returned.
+func (rc *RxChain) Receive(dst, tx []complex128, fading *channel.Fading, src *rng.Source) ([]complex128, error) {
+	n := len(tx) + rxPadSyms*SamplesPerSymbol
+	if cap(dst) < n {
+		dst = make([]complex128, n)
+	}
+	rx := dst[:n]
+	lead := rxLeadSyms * SamplesPerSymbol
+	burst := rx[lead : lead+len(tx)]
+	for i, v := range tx {
+		burst[i] = v * rc.carrier
+	}
+	if fading != nil {
+		series, err := fading.Series(len(tx), rc.SampleRateHz, src)
+		if err != nil {
+			return nil, err
+		}
+		channel.Apply(burst, series)
+	}
+	// TX leakage: a DC term over the whole capture.
+	for i := range burst {
+		burst[i] += rc.leak
+	}
+	for i := range rx[:lead] {
+		rx[i] = rc.leak
+	}
+	for i := lead + len(tx); i < n; i++ {
+		rx[i] = rc.leak
+	}
+	src.AWGN(rx, rc.noiseW)
 
 	// Cancel the static TX leakage: the tag holds its switches on
 	// (absorbing) while idle, so the pre-burst capture contains only the
@@ -325,11 +389,7 @@ func (l *Link) CaptureWaveformWS(ws *dsp.Workspace, payload []byte, mcs frame.MC
 	for i := range rx {
 		rx[i] -= mean
 	}
-	if t := signal.Active(); t != nil {
-		t.ChannelOut(rx)
-	}
-	cap.Samples = rx
-	return cap, nil
+	return rx, nil
 }
 
 // RunWaveformMCS is RunWaveform with an explicit payload modulation:

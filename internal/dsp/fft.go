@@ -25,12 +25,13 @@ func NextPowerOfTwo(n int) int {
 
 // FFT returns the discrete Fourier transform of x. For power-of-two
 // lengths it runs the iterative radix-2 Cooley–Tukey algorithm; any other
-// length is handled by Bluestein's chirp-z transform. The input is not
-// modified.
+// length is handled by Bluestein's chirp-z transform with a throwaway
+// plan — the nil-workspace path of Workspace.FFTInPlace. The input is
+// not modified.
 func FFT(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	copy(out, x)
-	fftInPlace(out, false)
+	(*Workspace)(nil).fft(out, false)
 	return out
 }
 
@@ -39,7 +40,7 @@ func FFT(x []complex128) []complex128 {
 func IFFT(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	copy(out, x)
-	fftInPlace(out, true)
+	(*Workspace)(nil).fft(out, true)
 	return out
 }
 
@@ -59,18 +60,6 @@ func IFFTInPlace(x []complex128) {
 		panic(fmt.Sprintf("dsp: IFFTInPlace requires power-of-two length, got %d", len(x)))
 	}
 	radix2(x, true)
-}
-
-func fftInPlace(x []complex128, inverse bool) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	if IsPowerOfTwo(n) {
-		radix2(x, inverse)
-		return
-	}
-	bluestein(x, inverse)
 }
 
 // radix2 is an iterative in-place decimation-in-time FFT.
@@ -112,16 +101,6 @@ func radix2(x []complex128, inverse bool) {
 			x[i] *= inv
 		}
 	}
-}
-
-// bluestein computes an arbitrary-length DFT as a convolution, using
-// power-of-two FFTs internally. This is the allocating compatibility
-// path: it builds a throwaway plan per call. Workspace FFTs cache the
-// plan per (length, direction) instead — same arithmetic, zero
-// steady-state allocations, and one radix-2 pass fewer (the kernel FFT
-// is precomputed).
-func bluestein(x []complex128, inverse bool) {
-	newFFTPlan(len(x), inverse).transform(x, inverse)
 }
 
 // FFTShift rotates a spectrum so the zero-frequency bin sits in the

@@ -263,6 +263,18 @@ func Drivers() []string {
 	return names
 }
 
+// Table runs experiment name as its grid driver would and returns the
+// rendered table — the one-experiment form cmd/mmtag prints. A nil ws is
+// fine: the waveform drivers then make their own workspace.
+func Table(name string, p Params, ws *dsp.Workspace) (experiments.Table, error) {
+	fn, ok := drivers[name]
+	if !ok {
+		return experiments.Table{}, fmt.Errorf("unknown experiment %q", name)
+	}
+	tab, _, err := fn(p, ws)
+	return tab, err
+}
+
 // runCell executes one cell on the given workspace.
 func runCell(c Cell, ws *dsp.Workspace) (experiments.Table, map[string]float64, error) {
 	fn, ok := drivers[c.Driver]

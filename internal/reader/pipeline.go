@@ -212,9 +212,10 @@ func (p *Pipeline) DecodeBurstBatch(bursts [][]complex128, w phy.Waveform, visit
 
 // DecodeBurst runs the full receive pipeline on captured baseband
 // samples: Barker sync, matched filtering, adaptive decisions, and
-// layered frame decoding. The header (always OOK) is decoded first to
-// learn the payload length and MCS, then the remainder of the burst with
-// the scheme the header names.
+// layered frame decoding. After Sync, the header (always OOK) is probed
+// first to learn the payload length and MCS, then the remainder of the
+// burst is decoded with the scheme the header names — for OOK through
+// Decide and Deframe over the whole burst.
 func DecodeBurst(samples []complex128, w phy.Waveform) (*frame.Decoded, RxStats, error) {
 	return DecodeBurstWS(nil, samples, w)
 }
@@ -231,11 +232,11 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 	obs.Inc("reader_bursts_total")
 
 	sync := span.StartChild("reader.sync")
-	start, metric, err := w.DetectBurstWS(ws, samples, 0)
+	start, metric, err := Sync(ws, samples, w)
 	sync.End()
 	if err != nil {
 		obs.Inc("reader_sync_failures_total")
-		return nil, stats, fmt.Errorf("%w: %v", ErrSync, err)
+		return nil, stats, err
 	}
 	stats.PreambleMetric = metric
 	stats.SyncOffset = start
@@ -322,21 +323,18 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 		all := ws.Complex(len(dec) + len(decRest))
 		copy(all, dec)
 		copy(all[len(dec):], decRest)
-		bits, thr, err = DecideOOKWS(ws, all)
+		var snr float64
+		bits, thr, snr, err = Decide(ws, all)
 		if err != nil {
 			decide.End()
 			obs.Inc("reader_decode_errors_total", obs.L("stage", "decide"))
 			return nil, stats, err
 		}
 		stats.Threshold = thr
+		stats.SNRdBEst = snr
 		stats.Decisions = all
 		if t := signal.Active(); t != nil {
 			stats.Quality, stats.HasQuality = t.SlicerInput(all, thr)
-		}
-		if snr, err := phy.MeasureSNRWS(ws, all); err == nil {
-			stats.SNRdBEst = snr
-		} else {
-			stats.SNRdBEst = math.NaN()
 		}
 	}
 	decide.End()
@@ -348,15 +346,58 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 
 	deframe := span.StartChild("reader.deframe")
 	defer deframe.End()
-	raw, err := frame.AppendBytesFromBits(ws.Bytes(len(bits) / 8)[:0], bits)
-	if err != nil {
+	var out frame.Decoded
+	if _, err := Deframe(ws.Bytes(len(bits) / 8)[:0], bits, &out); err != nil {
 		obs.Inc("reader_decode_errors_total", obs.L("stage", "deframe"))
 		return nil, stats, err
 	}
-	var out frame.Decoded
-	if err := (&frame.Parser{}).Decode(raw, &out); err != nil {
-		obs.Inc("reader_decode_errors_total", obs.L("stage", "deframe"))
-		return nil, stats, fmt.Errorf("reader: frame: %w", err)
-	}
 	return &out, stats, nil
+}
+
+// The three stages below are the decode steps every burst decoder
+// shares: DecodeBurstWS runs them around its header probe, and the
+// streaming decoder (internal/stream) schedules them as pipeline stages.
+// They carry no instrumentation — spans, counters, taps and events stay
+// with the caller, so a stage can run on any worker goroutine without
+// touching the deterministic telemetry.
+
+// Sync locates the burst preamble (phy.Waveform.DetectBurstWS) and
+// returns the burst start in samples and the correlation metric. A
+// failure wraps ErrSync.
+func Sync(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (start int, metric float64, err error) {
+	start, metric, err = w.DetectBurstWS(ws, samples, 0)
+	if err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrSync, err)
+	}
+	return start, metric, nil
+}
+
+// Decide slices a whole burst of OOK decisions with the adaptive
+// threshold (DecideOOKWS) and estimates their decision-domain SNR, NaN
+// when it is inestimable. The bits are valid until the next ws.Reset.
+func Decide(ws *dsp.Workspace, decisions []complex128) (bits []byte, threshold, snrDB float64, err error) {
+	bits, threshold, err = DecideOOKWS(ws, decisions)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	snrDB, err = phy.MeasureSNRWS(ws, decisions)
+	if err != nil {
+		snrDB = math.NaN()
+	}
+	return bits, threshold, snrDB, nil
+}
+
+// Deframe packs decided bits into bytes appended to raw and parses them
+// as a frame into out, whose slices view the returned buffer. A CRC
+// mismatch is out.Trailer.OK == false, not an error; structural
+// failures (bit count, header, truncation) are.
+func Deframe(raw, bits []byte, out *frame.Decoded) ([]byte, error) {
+	raw, err := frame.AppendBytesFromBits(raw, bits)
+	if err != nil {
+		return nil, err
+	}
+	if err := (&frame.Parser{}).Decode(raw, out); err != nil {
+		return raw, fmt.Errorf("reader: frame: %w", err)
+	}
+	return raw, nil
 }

@@ -9,7 +9,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/frame"
@@ -18,11 +17,12 @@ import (
 )
 
 // Shape describes the fixed burst geometry of a streaming session: the
-// waveform and the frame size every burst carries. Streaming decode
-// differs from reader.DecodeBurst in exactly one way — the payload length
-// is known up front (a session negotiates it once), so the demod stage
-// can matched-filter the whole burst in one pass instead of stopping to
-// parse the header first. On header-clean bursts the decisions, adaptive
+// waveform and the frame size every burst carries. Streaming decode runs
+// the reader's own stages (reader.Sync, reader.Decide, reader.Deframe)
+// and differs from reader.DecodeBurstWS in exactly one way — the payload
+// length is known up front (a session negotiates it once), so the demod
+// stage matched-filters the whole burst in one pass instead of probing
+// the header first. On header-clean bursts the decisions, adaptive
 // threshold and decoded bytes are bit-identical to reader.DecodeBurstWS
 // (see TestStagedDecodeMatchesDecodeBurst).
 type Shape struct {
@@ -31,12 +31,11 @@ type Shape struct {
 	// FrameBytes is the payload size carried by every burst.
 	FrameBytes int
 
-	dataSyms  int // header + payload + CRC symbols (OOK: 1 bit/symbol)
-	frameLen  int // header + payload + CRC bytes
-	burstSyms int // preamble + data symbols
+	dataSyms int // header + payload + CRC symbols (OOK: 1 bit/symbol)
 }
 
-// NewShape validates and precomputes the burst geometry.
+// NewShape validates the burst geometry and precomputes its data symbol
+// count.
 func NewShape(w phy.Waveform, frameBytes int) (Shape, error) {
 	if frameBytes <= 0 || frameBytes > frame.MaxPayload {
 		return Shape{}, fmt.Errorf("stream: frame bytes %d out of range [1,%d]", frameBytes, frame.MaxPayload)
@@ -44,13 +43,10 @@ func NewShape(w phy.Waveform, frameBytes int) (Shape, error) {
 	if w.SPS <= 0 {
 		return Shape{}, fmt.Errorf("stream: waveform has no samples per symbol")
 	}
-	frameLen := frame.HeaderLen + frameBytes + frame.CRCLen
 	return Shape{
 		W:          w,
 		FrameBytes: frameBytes,
-		dataSyms:   frameLen * 8,
-		frameLen:   frameLen,
-		burstSyms:  len(phy.Preamble13) + frameLen*8,
+		dataSyms:   (frame.HeaderLen + frameBytes + frame.CRCLen) * 8,
 	}, nil
 }
 
@@ -102,12 +98,13 @@ func (j *job) reset(idx int) {
 	j.out = Frame{Index: idx}
 }
 
-// stageSync locates the burst preamble. Sync failures are per-frame
-// outcomes (Frame.Err wrapping reader.ErrSync), not stream failures.
+// stageSync locates the burst preamble (reader.Sync). Sync failures are
+// per-frame outcomes (Frame.Err wrapping reader.ErrSync), not stream
+// failures.
 func (s Shape) stageSync(ws *dsp.Workspace, j *job) {
-	start, metric, err := s.W.DetectBurstWS(ws, j.samples, 0)
+	start, metric, err := reader.Sync(ws, j.samples, s.W)
 	if err != nil {
-		j.out.Err = fmt.Errorf("%w: %v", reader.ErrSync, err)
+		j.out.Err = err
 		return
 	}
 	j.out.SyncOffset = start
@@ -127,30 +124,21 @@ func (s Shape) stageDemod(ws *dsp.Workspace, j *job) {
 	j.dec = append(j.dec[:0], dec...)
 }
 
-// stageDecode slices the decisions with the whole-burst adaptive
-// threshold (the same combined re-decide reader.DecodeBurstWS ends on),
-// reassembles bytes and parses the frame. CRC failure is OK=false, not an
-// error; structural failures (header version/MCS, truncation) are.
+// stageDecode runs the reader's whole-burst decide (the same combined
+// re-decide reader.DecodeBurstWS ends on) and deframe. CRC failure is
+// OK=false, not an error; structural failures (header version/MCS,
+// truncation) are.
 func (s Shape) stageDecode(ws *dsp.Workspace, j *job) {
-	bits, thr, err := reader.DecideOOKWS(ws, j.dec)
+	bits, thr, snr, err := reader.Decide(ws, j.dec)
 	if err != nil {
 		j.out.Err = err
 		return
 	}
 	j.out.Threshold = thr
-	if snr, err := phy.MeasureSNRWS(ws, j.dec); err == nil {
-		j.out.SNRdBEst = snr
-	} else {
-		j.out.SNRdBEst = math.NaN()
-	}
-	j.raw, err = frame.AppendBytesFromBits(j.raw[:0], bits)
-	if err != nil {
-		j.out.Err = err
-		return
-	}
+	j.out.SNRdBEst = snr
 	var dec frame.Decoded
-	if err := (&frame.Parser{}).Decode(j.raw, &dec); err != nil {
-		j.out.Err = fmt.Errorf("stream: frame: %w", err)
+	if j.raw, err = reader.Deframe(j.raw[:0], bits, &dec); err != nil {
+		j.out.Err = err
 		return
 	}
 	j.out.TagID = dec.Header.TagID

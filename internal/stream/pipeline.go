@@ -247,16 +247,7 @@ func (p *Pipeline) runInline(n int, gen Gen, fold func(f *Frame) error) error {
 		if cap(samples) > cap(j.buf) {
 			j.buf = samples[:cap(samples)]
 		}
-		ws.Reset()
-		p.shape.stageSync(ws, j)
-		if j.out.Err == nil {
-			ws.Reset()
-			p.shape.stageDemod(ws, j)
-		}
-		if j.out.Err == nil {
-			ws.Reset()
-			p.shape.stageDecode(ws, j)
-		}
+		p.shape.decodeInto(ws, j)
 		if p.stats.InFlightMax == 0 {
 			p.stats.InFlightMax = 1
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"time"
 
 	"github.com/mmtag/mmtag/internal/core"
@@ -13,7 +12,6 @@ import (
 	"github.com/mmtag/mmtag/internal/frame"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
-	"github.com/mmtag/mmtag/internal/phy"
 	"github.com/mmtag/mmtag/internal/reader"
 	"github.com/mmtag/mmtag/internal/rng"
 	"github.com/mmtag/mmtag/internal/tag"
@@ -211,84 +209,36 @@ func newSessionSource(cfg *SessionConfig) (*sessionSource, error) {
 		return nil, err
 	}
 	bw := l.Reader.Bandwidths[0] // widest: the gigabit 2 GHz channel
-	b, err := l.ComputeBudget()
-	if err != nil {
-		return nil, err
-	}
-	if b.Severed {
+	rc, err := l.RxChain(bw)
+	if rc.Budget.Severed {
 		return nil, fmt.Errorf("stream: link severed at %g ft", cfg.RangeFt)
 	}
-	w, err := phy.NewRectWaveform(core.SamplesPerSymbol)
 	if err != nil {
 		return nil, err
 	}
-	shape, err := NewShape(w, cfg.FrameBytes)
+	shape, err := NewShape(rc.W, cfg.FrameBytes)
 	if err != nil {
 		return nil, err
 	}
 
-	// The operating point is computed once — the per-frame generator is
-	// pure synthesis (tag burst + channel scale + leakage + noise), the
-	// same recipe core.CaptureWaveformWS applies per call.
-	bearing := b.TagBearingRad
-	freqHz := l.Reader.FreqHz
-	// Tag.BurstMCSWS mutates aperture switch state while computing the
-	// modulation constellation, so it cannot be shared across gen workers.
-	// The leakage is a pure function of the fixed operating point: compute
-	// it once and synthesize bursts with stateless phy calls instead.
-	ookLeak := l.Tag.OOKLeakage(bearing, freqHz)
+	// Each frame runs the link's own burst path (tag.BurstSymbolsWS,
+	// synthesis, rc.Receive) at the operating point computed once here.
+	// The tag's leakage is computed once too: Tag.BurstMCSWS toggles the
+	// aperture's switch state to find it, so it cannot be shared across
+	// gen workers.
+	ookLeak := l.Tag.OOKLeakage(rc.Budget.TagBearingRad, l.Reader.FreqHz)
 	tagID := l.Tag.ID
-	amp := math.Sqrt(units.DBmToWatts(b.ReceivedDBm))
-	carrier := cmplx.Rect(amp, -0.4)
-	leak := cmplx.Rect(math.Sqrt(units.DBmToWatts(l.Reader.SelfInterferenceDBm())), 0.9)
-	symbolRate := bw.BandwidthHz * units.OOKSpectralEfficiency
-	sampleRate := symbolRate * core.SamplesPerSymbol
-	noiseW := units.DBmToWatts(units.ThermalNoiseDensityDBmHz(l.Reader.TemperatureK)+
-		l.Reader.NoiseFigureDB)*sampleRate +
-		units.DBmToWatts(l.Reader.ResidualLeakageDBm())
-	burstSyms := tag.BurstSymbolCount(cfg.FrameBytes)
-	burstS := float64(burstSyms) / symbolRate
-	lead := 16 * core.SamplesPerSymbol
-	rxLen := burstSyms*core.SamplesPerSymbol + 40*core.SamplesPerSymbol
+	burstS := float64(tag.BurstSymbolCount(cfg.FrameBytes)) / (bw.BandwidthHz * units.OOKSpectralEfficiency)
 	seq := rng.NewSequence(cfg.Seed)
 	gen := func(ws *dsp.Workspace, i int, dst []complex128) ([]complex128, error) {
 		src := seq.At(uint64(i))
 		payload := src.Bytes(ws.Bytes(cfg.FrameBytes))
-		rawLen := frame.HeaderLen + cfg.FrameBytes + frame.CRCLen
-		raw, err := frame.AppendEncode(ws.Bytes(rawLen)[:0], tagID, frame.MCSOOK, payload)
+		syms, err := tag.BurstSymbolsWS(ws, tagID, frame.MCSOOK, ookLeak, payload)
 		if err != nil {
 			return nil, err
 		}
-		bits := frame.BitsFromBytes(ws.Bytes(8*rawLen), raw)
-		syms := phy.AppendPreambleSymbols(ws.Complex(burstSyms)[:0], ookLeak)
-		syms, err = (phy.OOK{Leakage: ookLeak}).Modulate(syms, bits)
-		if err != nil {
-			return nil, err
-		}
-		tx := w.SynthesizeWS(ws, syms)
-		if cap(dst) < rxLen {
-			dst = make([]complex128, rxLen)
-		}
-		dst = dst[:rxLen]
-		for k := range dst {
-			dst[k] = leak
-		}
-		for k, v := range tx {
-			dst[lead+k] += v * carrier
-		}
-		src.AWGN(dst, noiseW)
-		// Pre-burst leakage calibration (see core.CaptureWaveformWS).
-		pre := lead / 2
-		var mean complex128
-		for _, v := range dst[:pre] {
-			mean += v
-		}
-		mean /= complex(float64(pre), 0)
-		for k := range dst {
-			dst[k] -= mean
-		}
-		return dst, nil
+		return rc.Receive(dst, rc.W.SynthesizeWS(ws, syms), nil, src)
 	}
-	return &sessionSource{link: l, shape: shape, seq: seq, budgetSNRdB: b.SNRdB[bw.Label],
+	return &sessionSource{link: l, shape: shape, seq: seq, budgetSNRdB: rc.Budget.SNRdB[bw.Label],
 		burstS: burstS, gen: gen}, nil
 }

@@ -95,12 +95,22 @@ func (t *Tag) BurstMCS(payload []byte, mcs frame.MCS, theta, f float64) ([]compl
 // buffer checked out of ws; the returned symbols are valid until the
 // next ws.Reset. A nil ws allocates, which is exactly BurstMCS.
 func (t *Tag) BurstMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, theta, f float64) ([]complex128, error) {
+	return BurstSymbolsWS(ws, t.ID, mcs, t.OOKLeakage(theta, f), payload)
+}
+
+// BurstSymbolsWS is the tag's framing and switch modulation as a pure
+// function of the operating point: it frames payload under tag id and
+// returns the preamble, header and payload+CRC symbols for an aperture
+// whose absorbing state leaks leak (see OOKLeakage). It reads no
+// aperture state, so concurrent callers that computed leak once may
+// share it. Buffers come from ws (valid until the next ws.Reset; nil ws
+// allocates).
+func BurstSymbolsWS(ws *dsp.Workspace, id uint16, mcs frame.MCS, leak float64, payload []byte) ([]complex128, error) {
 	rawLen := frame.HeaderLen + len(payload) + frame.CRCLen
-	raw, err := frame.AppendEncode(ws.Bytes(rawLen)[:0], t.ID, mcs, payload)
+	raw, err := frame.AppendEncode(ws.Bytes(rawLen)[:0], id, mcs, payload)
 	if err != nil {
 		return nil, err
 	}
-	leak := t.OOKLeakage(theta, f)
 	syms := phy.AppendPreambleSymbols(ws.Complex(BurstSymbolCountMCS(len(payload), mcs))[:0], leak)
 	bits := frame.BitsFromBytes(ws.Bytes(8*len(raw)), raw)
 	headBits := bits[:frame.HeaderLen*8]
@@ -125,7 +135,7 @@ func (t *Tag) BurstMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, theta
 		}
 		return syms, nil
 	default:
-		return nil, fmt.Errorf("tag %d: unsupported MCS %v", t.ID, mcs)
+		return nil, fmt.Errorf("tag %d: unsupported MCS %v", id, mcs)
 	}
 }
 
