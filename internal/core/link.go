@@ -354,19 +354,24 @@ func (rc *RxChain) Receive(dst, tx []complex128, fading *channel.Fading, src *rn
 	rx := dst[:n]
 	lead := rxLeadSyms * SamplesPerSymbol
 	burst := rx[lead : lead+len(tx)]
-	for i, v := range tx {
-		burst[i] = v * rc.carrier
-	}
-	if fading != nil {
+	// TX leakage is a DC term over the whole capture. The conversion
+	// rounds the carrier product before it is added, so no FMA fuses them.
+	if fading == nil {
+		for i, v := range tx {
+			burst[i] = complex128(v*rc.carrier) + rc.leak
+		}
+	} else {
+		for i, v := range tx {
+			burst[i] = v * rc.carrier
+		}
 		series, err := fading.Series(len(tx), rc.SampleRateHz, src)
 		if err != nil {
 			return nil, err
 		}
 		channel.Apply(burst, series)
-	}
-	// TX leakage: a DC term over the whole capture.
-	for i := range burst {
-		burst[i] += rc.leak
+		for i := range burst {
+			burst[i] += rc.leak
+		}
 	}
 	for i := range rx[:lead] {
 		rx[i] = rc.leak

@@ -120,26 +120,35 @@ func ShapeSymbols(symbols []complex128, pulse []float64, sps int) []complex128 {
 	return ShapeSymbolsWS(nil, symbols, pulse, sps)
 }
 
-// ShapeSymbolsWS is ShapeSymbols with every intermediate (impulse train,
-// complex pulse, convolution scratch) and the output checked out of ws.
-// The returned slice is valid until the next ws.Reset; a nil ws
+// ShapeSymbolsWS is ShapeSymbols with the output (and, for pulses long
+// enough for ConvWS's overlap-save branch, its inputs) checked out of
+// ws. The returned slice is valid until the next ws.Reset; a nil ws
 // allocates.
 func ShapeSymbolsWS(ws *Workspace, symbols []complex128, pulse []float64, sps int) []complex128 {
-	up := ws.Complex(len(symbols) * sps)
+	n, delay := len(symbols)*sps, (len(pulse)-1)/2
+	if len(pulse) > 64 && n > 64 {
+		up, ph := ws.Complex(n), ws.Complex(len(pulse))
+		for i, s := range symbols {
+			up[i*sps] = s
+		}
+		for i, v := range pulse {
+			ph[i] = complex(v, 0)
+		}
+		return ConvOSWS(ws, up, ph)[delay : delay+n]
+	}
+	// ConvWS's direct branch without the impulse train's zeros: each
+	// nonzero symbol adds its pulse into place, in symbol order, which is
+	// the order the direct convolution added the same products in.
+	out := ws.Complex(n)
 	for i, s := range symbols {
-		up[i*sps] = s
-	}
-	ph := ws.Complex(len(pulse))
-	for i, v := range pulse {
-		ph[i] = complex(v, 0)
-	}
-	full := ConvWS(ws, up, ph)
-	delay := (len(pulse) - 1) / 2
-	out := ws.Complex(len(symbols) * sps)
-	for i := range out {
-		j := i + delay
-		if j < len(full) {
-			out[i] = full[j]
+		if s == 0 {
+			continue
+		}
+		base := i*sps - delay
+		for j, p := range pulse {
+			if k := base + j; uint(k) < uint(len(out)) {
+				out[k] += s * complex(p, 0)
+			}
 		}
 	}
 	return out

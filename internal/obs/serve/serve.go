@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -377,6 +378,17 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Connection limits of a started server. A client gets
+// readHeaderTimeout to send its request headers and idleTimeout between
+// keep-alive requests. There is no write timeout: /stream holds its
+// response open for as long as the client stays. Close waits up to
+// shutdownTimeout for in-flight requests before closing what is left.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownTimeout   = 5 * time.Second
+)
+
 // Running is a started telemetry server.
 type Running struct {
 	ln  net.Listener
@@ -386,8 +398,17 @@ type Running struct {
 // Addr returns the bound listen address (useful with ":0").
 func (r *Running) Addr() string { return r.ln.Addr().String() }
 
-// Close stops the listener and the server.
-func (r *Running) Close() error { return r.srv.Close() }
+// Close shuts the server down: it stops accepting, ends open /stream
+// responses, lets other in-flight requests finish for up to
+// shutdownTimeout, and then closes every connection still open.
+func (r *Running) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	if err := r.srv.Shutdown(ctx); err != nil {
+		return r.srv.Close()
+	}
+	return nil
+}
 
 // Start binds addr (host:port; empty host binds all interfaces, port 0
 // picks a free port) and serves the telemetry mux on a background
@@ -397,7 +418,16 @@ func (s *Server) Start(addr string) (*Running, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	// Every request context derives from base, which shutdown cancels:
+	// that is what ends an SSE stream, which never finishes by itself.
+	base, stop := context.WithCancel(context.Background())
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		BaseContext:       func(net.Listener) context.Context { return base },
+	}
+	srv.RegisterOnShutdown(stop)
 	go srv.Serve(ln)
 	return &Running{ln: ln, srv: srv}, nil
 }

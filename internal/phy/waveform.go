@@ -126,7 +126,9 @@ func (w Waveform) MatchedFilterWS(ws *dsp.Workspace, samples []complex128, start
 			}
 			acc += samples[j] * complex(p, 0)
 		}
-		out = append(out, acc/complex(pe, 0))
+		// Not the runtime's complex division, which differs only when
+		// exactly one part of acc is non-finite (DESIGN.md §9.3).
+		out = append(out, complex(real(acc)/pe, imag(acc)/pe))
 	}
 	return out, nil
 }
@@ -321,43 +323,75 @@ func MeasureSNR(decisions []complex128) (float64, error) {
 // MeasureSNRWS is MeasureSNR with the magnitude buffer checked out of ws
 // (nil ws allocates).
 func MeasureSNRWS(ws *dsp.Workspace, decisions []complex128) (float64, error) {
-	if len(decisions) < 4 {
-		return 0, fmt.Errorf("phy: need ≥ 4 decisions to estimate SNR")
+	return DecisionStatsWS(ws, decisions).SNRdB()
+}
+
+// DecisionStats is one pass of two-cluster statistics over OOK decision
+// magnitudes: the midpoint of the extremes, and the magnitude sum and
+// count of each side of it. The adaptive OOK slicer and the SNR
+// estimate both start from it.
+type DecisionStats struct {
+	Mags       []float64 // |decision|, valid until the workspace's next Reset
+	Mid        float64   // mean of the extremes (NaN if a magnitude is): the split
+	SumH, SumL float64   // sums of the magnitudes ≥ Mid and < Mid, in decision order
+	NH, NL     int       // their counts
+}
+
+// DecisionStatsWS computes the DecisionStats of decisions with the
+// magnitude buffer checked out of ws (nil ws allocates). Empty
+// decisions give zero stats.
+func DecisionStatsWS(ws *dsp.Workspace, decisions []complex128) DecisionStats {
+	var s DecisionStats
+	if len(decisions) == 0 {
+		return s
 	}
-	mags := dsp.MagnitudesInto(ws.Float(len(decisions)), decisions)
-	lo, hi := mags[0], mags[0]
-	for _, m := range mags {
-		lo = math.Min(lo, m)
-		hi = math.Max(hi, m)
-	}
-	mid := (lo + hi) / 2
-	var muH, muL float64
-	var nH, nL int
-	for _, m := range mags {
-		if m >= mid {
-			muH += m
-			nH++
-		} else {
-			muL += m
-			nL++
+	s.Mags = dsp.MagnitudesInto(ws.Float(len(decisions)), decisions)
+	// Plain comparisons, not math.Min/Max's out-of-line calls: m != m
+	// keeps a NaN extreme, and so Mid, NaN. Magnitudes are never −0 or
+	// −Inf, the cases where the two would differ otherwise.
+	lo, hi := s.Mags[0], s.Mags[0]
+	for _, m := range s.Mags {
+		if m < lo || m != m {
+			lo = m
+		}
+		if m > hi || m != m {
+			hi = m
 		}
 	}
-	if nH == 0 || nL == 0 {
+	s.Mid = (lo + hi) / 2
+	for _, m := range s.Mags {
+		if m >= s.Mid {
+			s.SumH += m
+			s.NH++
+		} else {
+			s.SumL += m
+			s.NL++
+		}
+	}
+	return s
+}
+
+// SNRdB is MeasureSNR's estimate from s.
+func (s DecisionStats) SNRdB() (float64, error) {
+	if len(s.Mags) < 4 {
+		return 0, fmt.Errorf("phy: need ≥ 4 decisions to estimate SNR")
+	}
+	if s.NH == 0 || s.NL == 0 {
 		return 0, fmt.Errorf("phy: decisions are unimodal; cannot split clusters")
 	}
-	muH /= float64(nH)
-	muL /= float64(nL)
+	muH := s.SumH / float64(s.NH)
+	muL := s.SumL / float64(s.NL)
 	// Estimate noise from the high cluster only: there the magnitude of
 	// A+n is ≈ A + Re(n), so the magnitude variance equals the
 	// per-quadrature noise power N/2. (The low/empty cluster is Rayleigh
 	// and would bias the estimate.)
 	var varH float64
-	for _, m := range mags {
-		if m >= mid {
+	for _, m := range s.Mags {
+		if m >= s.Mid {
 			varH += (m - muH) * (m - muH)
 		}
 	}
-	varH /= float64(nH)
+	varH /= float64(s.NH)
 	if varH <= 0 {
 		return math.Inf(1), nil
 	}

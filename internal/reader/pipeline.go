@@ -75,39 +75,27 @@ func DecideOOKWS(ws *dsp.Workspace, decisions []complex128) (bits []byte, thresh
 	if len(decisions) == 0 {
 		return nil, 0, fmt.Errorf("reader: no decisions")
 	}
-	mags := dsp.MagnitudesInto(ws.Float(len(decisions)), decisions)
-	lo, hi := mags[0], mags[0]
-	for _, m := range mags {
-		lo = math.Min(lo, m)
-		hi = math.Max(hi, m)
+	bits, threshold = sliceOOK(ws, phy.DecisionStatsWS(ws, decisions))
+	return bits, threshold, nil
+}
+
+// sliceOOK thresholds st's magnitudes at the average of the two cluster
+// means, or at the midpoint of the extremes when one cluster is empty
+// (all one level).
+func sliceOOK(ws *dsp.Workspace, st phy.DecisionStats) (bits []byte, threshold float64) {
+	threshold = st.Mid
+	if st.NH != 0 && st.NL != 0 {
+		threshold = (st.SumH/float64(st.NH) + st.SumL/float64(st.NL)) / 2
 	}
-	mid := (lo + hi) / 2
-	var muH, muL float64
-	var nH, nL int
-	for _, m := range mags {
-		if m >= mid {
-			muH += m
-			nH++
-		} else {
-			muL += m
-			nL++
-		}
-	}
-	if nH == 0 || nL == 0 {
-		// Degenerate (all one level); fall back to the midpoint.
-		threshold = mid
-	} else {
-		threshold = (muH/float64(nH) + muL/float64(nL)) / 2
-	}
-	bits = ws.Bytes(len(mags))
-	for i, m := range mags {
+	bits = ws.Bytes(len(st.Mags))
+	for i, m := range st.Mags {
 		if m >= threshold {
 			bits[i] = 0 // reflecting = data '0' (paper §6)
 		} else {
 			bits[i] = 1
 		}
 	}
-	return bits, threshold, nil
+	return bits, threshold
 }
 
 // DecideASK4 makes hard 4-ASK decisions: it estimates the low and high
@@ -373,15 +361,16 @@ func Sync(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (start int, m
 }
 
 // Decide slices a whole burst of OOK decisions with the adaptive
-// threshold (DecideOOKWS) and estimates their decision-domain SNR, NaN
-// when it is inestimable. The bits are valid until the next ws.Reset.
+// threshold (DecideOOKWS) and estimates their decision-domain SNR
+// (phy.MeasureSNRWS), NaN when it is inestimable, both from one pass of
+// decision statistics. The bits are valid until the next ws.Reset.
 func Decide(ws *dsp.Workspace, decisions []complex128) (bits []byte, threshold, snrDB float64, err error) {
-	bits, threshold, err = DecideOOKWS(ws, decisions)
-	if err != nil {
-		return nil, 0, 0, err
+	if len(decisions) == 0 {
+		return nil, 0, 0, fmt.Errorf("reader: no decisions")
 	}
-	snrDB, err = phy.MeasureSNRWS(ws, decisions)
-	if err != nil {
+	st := phy.DecisionStatsWS(ws, decisions)
+	bits, threshold = sliceOOK(ws, st)
+	if snrDB, err = st.SNRdB(); err != nil {
 		snrDB = math.NaN()
 	}
 	return bits, threshold, snrDB, nil
