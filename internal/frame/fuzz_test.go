@@ -81,3 +81,37 @@ func TestRandomPayloadStress(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParserDecode: on arbitrary bytes Decode returns an error or a
+// frame, never panics. A decoded frame's payload is the Length bytes
+// after the header, its trailer check is the CRC-16 of the header and
+// payload, a strict parser accepts only frames that pass it, and a
+// passing frame re-encodes to exactly the bytes it was parsed from.
+// The seed corpus in testdata/fuzz/FuzzParserDecode holds valid frames,
+// a corrupted CRC, a bad version, an undefined MCS, an oversized length
+// and truncations.
+func FuzzParserDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, strict bool) {
+		var d Decoded
+		p := Parser{Strict: strict}
+		if err := p.Decode(data, &d); err != nil {
+			return
+		}
+		n := int(d.Header.Length)
+		if len(d.Payload.Data) != n || HeaderLen+n+CRCLen > len(data) {
+			t.Fatalf("%d-byte payload from a %d-byte burst with Length %d", len(d.Payload.Data), len(data), n)
+		}
+		if ok := CRC16(data[:HeaderLen+n]) == d.Trailer.CRC; ok != d.Trailer.OK {
+			t.Fatalf("Trailer.OK %v, CRC check %v", d.Trailer.OK, ok)
+		}
+		if strict && !d.Trailer.OK {
+			t.Fatal("strict parser accepted a CRC failure")
+		}
+		if d.Trailer.OK {
+			re, err := Encode(d.Header.TagID, d.Header.MCS, d.Payload.Data)
+			if err != nil || string(re) != string(data[:HeaderLen+n+CRCLen]) {
+				t.Fatalf("re-encoded frame %x (%v), parsed from %x", re, err, data[:HeaderLen+n+CRCLen])
+			}
+		}
+	})
+}

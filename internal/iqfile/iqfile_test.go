@@ -161,3 +161,30 @@ func TestReadBoundsAllocationByData(t *testing.T) {
 		t.Fatalf("long capture: %d samples, err %v", len(out), err)
 	}
 }
+
+// FuzzIQRead: on arbitrary bytes Read returns an error or a capture,
+// never panics, and allocates in proportion to the bytes it was given,
+// however many samples the header claims (the bound is generous: four
+// times the 16-byte samples the data can hold, plus a fixed 1 MiB). A
+// successful read holds exactly the header's sample count. The seed
+// corpus in testdata/fuzz/FuzzIQRead holds valid captures, a header
+// claiming MaxSamples over no data, a bad magic, version and sample
+// rate, and a truncated sample.
+func FuzzIQRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		hdr, samples, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, 1<<20+64*uint64(len(data)); got > bound {
+			t.Fatalf("Read allocated %d bytes for a %d-byte input (header claims %d samples), bound %d",
+				got, len(data), hdr.Samples, bound)
+		}
+		if err != nil {
+			return
+		}
+		if uint64(len(samples)) != hdr.Samples || !(hdr.SampleRateHz > 0) {
+			t.Fatalf("read %d samples at %v Hz, header claims %d", len(samples), hdr.SampleRateHz, hdr.Samples)
+		}
+	})
+}

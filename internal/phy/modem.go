@@ -44,31 +44,31 @@ func (OOK) Name() string { return "OOK" }
 // BitsPerSymbol implements Modulation.
 func (OOK) BitsPerSymbol() int { return 1 }
 
-// Modulate implements Modulation.
+// Modulate implements Modulation. Each bit indexes a two-level table,
+// so the only branch is the never-taken range check, not a coin flip
+// per bit (DESIGN.md §9.4).
 func (m OOK) Modulate(dst []complex128, bits []byte) ([]complex128, error) {
+	levels := [2]complex128{1, complex(m.Leakage, 0)}
 	for _, b := range bits {
-		switch b {
-		case 0:
-			dst = append(dst, 1)
-		case 1:
-			dst = append(dst, complex(m.Leakage, 0))
-		default:
+		if b > 1 {
 			return nil, fmt.Errorf("phy: bit value %d (want 0 or 1)", b)
 		}
+		dst = append(dst, levels[b])
 	}
 	return dst, nil
 }
 
 // Demodulate implements Modulation: amplitude threshold halfway between
-// the two nominal levels.
+// the two nominal levels. The bit is the comparison's outcome, negated
+// so that a NaN amplitude reads as '1' as it always has.
 func (m OOK) Demodulate(dst []byte, syms []complex128) []byte {
 	thr := (1 + m.Leakage) / 2
 	for _, s := range syms {
-		if cmplx.Abs(s) >= thr {
-			dst = append(dst, 0)
-		} else {
-			dst = append(dst, 1)
+		var b byte
+		if !(cmplx.Abs(s) >= thr) {
+			b = 1
 		}
+		dst = append(dst, b)
 	}
 	return dst
 }

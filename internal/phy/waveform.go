@@ -359,16 +359,33 @@ func DecisionStatsWS(ws *dsp.Workspace, decisions []complex128) DecisionStats {
 		}
 	}
 	s.Mid = (lo + hi) / 2
+	// Branch-free split: each magnitude goes to both sums, masked to +0
+	// on the side it does not belong to. Adding +0 leaves a sum that is
+	// not −0 unchanged, and both sums start at +0 and only ever add
+	// magnitudes; a NaN (m ≥ Mid false) lands on the low side, as the
+	// branch sent it (DESIGN.md §9.4).
+	var sumH, sumL float64
+	var nH int
 	for _, m := range s.Mags {
-		if m >= s.Mid {
-			s.SumH += m
-			s.NH++
-		} else {
-			s.SumL += m
-			s.NL++
-		}
+		h := highMask(m, s.Mid)
+		mb := math.Float64bits(m)
+		sumH += math.Float64frombits(mb & h)
+		sumL += math.Float64frombits(mb &^ h)
+		nH += int(h & 1)
 	}
+	s.SumH, s.SumL, s.NH, s.NL = sumH, sumL, nH, len(s.Mags)-nH
 	return s
+}
+
+// highMask is all ones if m ≥ mid and zero otherwise (so zero when
+// either is NaN). The compiler turns the if into a flag set, not a
+// branch.
+func highMask(m, mid float64) uint64 {
+	var h uint64
+	if m >= mid {
+		h = 1
+	}
+	return -h
 }
 
 // SNRdB is MeasureSNR's estimate from s.
@@ -385,11 +402,14 @@ func (s DecisionStats) SNRdB() (float64, error) {
 	// A+n is ≈ A + Re(n), so the magnitude variance equals the
 	// per-quadrature noise power N/2. (The low/empty cluster is Rayleigh
 	// and would bias the estimate.)
+	//
+	// The deviation of a low-cluster (or NaN) magnitude is masked to +0
+	// before it is squared: (+0)·(+0) adds +0, and a fused multiply-add
+	// of it is exact too, so varH matches the branch that skipped it.
 	var varH float64
 	for _, m := range s.Mags {
-		if m >= s.Mid {
-			varH += (m - muH) * (m - muH)
-		}
+		d := math.Float64frombits(math.Float64bits(m-muH) & highMask(m, s.Mid))
+		varH += d * d
 	}
 	varH /= float64(s.NH)
 	if varH <= 0 {

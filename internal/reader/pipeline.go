@@ -81,19 +81,21 @@ func DecideOOKWS(ws *dsp.Workspace, decisions []complex128) (bits []byte, thresh
 
 // sliceOOK thresholds st's magnitudes at the average of the two cluster
 // means, or at the midpoint of the extremes when one cluster is empty
-// (all one level).
+// (all one level). A magnitude at or above the threshold is reflecting,
+// data '0' (paper §6); the bit is stored as the comparison's negation,
+// not branched on, so a NaN still reads as '1'.
 func sliceOOK(ws *dsp.Workspace, st phy.DecisionStats) (bits []byte, threshold float64) {
 	threshold = st.Mid
 	if st.NH != 0 && st.NL != 0 {
 		threshold = (st.SumH/float64(st.NH) + st.SumL/float64(st.NL)) / 2
 	}
-	bits = ws.Bytes(len(st.Mags))
+	bits = ws.Bytes(len(st.Mags))[:len(st.Mags)] // no bounds check per bit
 	for i, m := range st.Mags {
-		if m >= threshold {
-			bits[i] = 0 // reflecting = data '0' (paper §6)
-		} else {
-			bits[i] = 1
+		var b byte
+		if !(m >= threshold) {
+			b = 1
 		}
+		bits[i] = b
 	}
 	return bits, threshold
 }

@@ -89,12 +89,14 @@ type job struct {
 	payload []byte       // decoded payload, copied out of the parse view
 	out     Frame
 	fatal   bool // infrastructure failure: abort the stream
+	caught  any  // a stage's recovered panic value (fatal is set too)
 }
 
 func (j *job) reset(idx int) {
 	j.idx = idx
 	j.samples = nil
 	j.fatal = false
+	j.caught = nil
 	j.out = Frame{Index: idx}
 }
 

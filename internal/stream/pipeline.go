@@ -101,6 +101,11 @@ func (p *Pipeline) Stats() PipelineStats { return p.stats }
 // are valid only during the callback. A fold error or Gen error stops
 // the stream at the lowest failing index (later indexes may have been
 // generated speculatively, but are never folded).
+//
+// A panic in Gen, a decode stage or fold is recovered into its job and
+// stops the stream the same way; once every goroutine has drained, Run
+// re-panics on the caller's goroutine with the lowest-index panic's
+// value — the one the Workers == 1 loop raises — as internal/par does.
 func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 	if n < 0 {
 		return fmt.Errorf("stream: negative frame count %d", n)
@@ -162,7 +167,7 @@ func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 				for j := range in {
 					if !j.fatal && j.out.Err == nil {
 						ws.Reset()
-						work(ws, j)
+						runJob(ws, j, work)
 					}
 					out <- j
 					maxInt64(wm, int64(len(out)))
@@ -199,6 +204,7 @@ func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 	ring := make([]*job, poolSize)
 	next := 0
 	var runErr error
+	var runPanic any
 	for j := range foldQ {
 		ring[j.idx%poolSize] = j
 		for {
@@ -207,13 +213,16 @@ func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 				break
 			}
 			ring[next%poolSize] = nil
-			if runErr == nil {
-				if k.fatal {
+			if runErr == nil && runPanic == nil {
+				switch {
+				case k.caught != nil:
+					runPanic = k.caught
+				case k.fatal:
 					runErr = k.out.Err
-				} else if err := fold(&k.out); err != nil {
-					runErr = err
+				default:
+					runPanic, runErr = foldJob(fold, &k.out)
 				}
-				if runErr != nil {
+				if runErr != nil || runPanic != nil {
 					stop.Store(true)
 				}
 			}
@@ -226,7 +235,28 @@ func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 		p.stats.QueueMax[i] = int(watermarks[i].Load())
 	}
 	p.stats.InFlightMax = int(inFlightMax.Load())
+	if runPanic != nil {
+		panic(runPanic)
+	}
 	return runErr
+}
+
+// runJob runs one stage's work on j, recovering a panic into the job
+// as a fatal outcome so the fold can stop the stream at it.
+func runJob(ws *dsp.Workspace, j *job, work func(ws *dsp.Workspace, j *job)) {
+	defer func() {
+		if v := recover(); v != nil {
+			j.caught, j.fatal = v, true
+		}
+	}()
+	work(ws, j)
+}
+
+// foldJob calls fold on f, returning its error or its recovered panic
+// value, so a panicking fold still lets the pipeline drain.
+func foldJob(fold func(f *Frame) error, f *Frame) (panicked any, err error) {
+	defer func() { panicked = recover() }()
+	return nil, fold(f)
 }
 
 // runInline is the workers==1 sequential reference: one goroutine, one

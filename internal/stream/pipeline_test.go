@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
@@ -193,6 +194,82 @@ func TestPipelineFoldErrorStops(t *testing.T) {
 		}
 		if last != 10 {
 			t.Fatalf("workers=%d: last folded index %d, want 10", workers, last)
+		}
+	}
+}
+
+// genPanic is the value the panicking generator raises.
+type genPanic struct{ idx int }
+
+// runRecovering runs p and returns the value Run panicked with (nil if
+// it returned) and the error Run returned.
+func runRecovering(p *Pipeline, n int, gen Gen, fold func(f *Frame) error) (v any, err error) {
+	defer func() { v = recover() }()
+	return nil, p.Run(n, gen, fold)
+}
+
+// settleGoroutines waits briefly for the goroutine count to fall back
+// to base and returns the last count seen.
+func settleGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > base; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestPipelinePanicRepanicsLowestIndex: a Gen that panics from index 37
+// on stops the fold there and re-panics on the caller's goroutine with
+// index 37's value, at any worker count, after every pipeline goroutine
+// has exited. A panicking fold ends the run the same way.
+func TestPipelinePanicRepanicsLowestIndex(t *testing.T) {
+	const frameBytes = 32
+	w, _ := phy.NewRectWaveform(core.SamplesPerSymbol)
+	shape, err := NewShape(w, frameBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursts, _ := captureBursts(t, 4, frameBytes, 4, 3)
+	const panicAt = 37
+	gen := func(ws *dsp.Workspace, idx int, dst []complex128) ([]complex128, error) {
+		if idx >= panicAt {
+			panic(genPanic{idx})
+		}
+		return bursts[idx%len(bursts)], nil
+	}
+	for _, workers := range []int{1, 2, 8} {
+		base := runtime.NumGoroutine()
+		var folded []int
+		p := NewPipeline(shape, Config{Workers: workers, Depth: 4})
+		v, err := runRecovering(p, 200, gen, func(f *Frame) error {
+			folded = append(folded, f.Index)
+			return nil
+		})
+		if v != (genPanic{panicAt}) || err != nil {
+			t.Fatalf("workers=%d: Run panicked with %v (err %v), want %v", workers, v, err, genPanic{panicAt})
+		}
+		if len(folded) != panicAt || folded[panicAt-1] != panicAt-1 {
+			t.Fatalf("workers=%d: folded %d frames, want %d in order", workers, len(folded), panicAt)
+		}
+		if n := settleGoroutines(base); n != base {
+			t.Fatalf("workers=%d: %d goroutines after Run, want %d", workers, n, base)
+		}
+
+		base = runtime.NumGoroutine()
+		last := -1
+		v, err = runRecovering(p, 200, pregenGen(bursts), func(f *Frame) error {
+			last = f.Index
+			if f.Index == 10 {
+				panic("fold panicked")
+			}
+			return nil
+		})
+		if v != "fold panicked" || err != nil || last != 10 {
+			t.Fatalf("workers=%d: fold panic gave %v (err %v) after index %d", workers, v, err, last)
+		}
+		if n := settleGoroutines(base); n != base {
+			t.Fatalf("workers=%d: %d goroutines after a fold panic, want %d", workers, n, base)
 		}
 	}
 }
